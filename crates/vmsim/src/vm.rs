@@ -185,6 +185,19 @@ struct VmInner {
     stats: VmStats,
 }
 
+impl VmInner {
+    /// Simulated TLB shootdown: bump the epoch so every cached page mapping
+    /// (the [`crate::PagedVec`] lookaside) revalidates through
+    /// [`Vm::try_page`]. Called on every residency change, and whenever
+    /// reclaim clears an accessed bit or starts writing a page back — so a
+    /// lookaside hit can never hide an access from CLOCK or a store from
+    /// writeback, and the simulated machine behaves the same whatever the
+    /// host caches.
+    fn shootdown(&self) {
+        self.epoch.set(self.epoch.get() + 1);
+    }
+}
+
 /// Lazily-resolved metric handles for the VM's hot emit sites (one registry
 /// lookup each, on first use).
 struct VmCounters {
@@ -280,15 +293,16 @@ impl Vm {
         self.inner.borrow().swap.free_slots()
     }
 
-    /// Counter that bumps on every residency change; callers caching frame
-    /// buffers must re-validate when it moves.
+    /// Counter that bumps on every residency change and every shootdown
+    /// (accessed-bit clear, writeback start); callers caching frame buffers
+    /// must re-validate when it moves.
     pub fn epoch(&self) -> u64 {
         self.inner.borrow().epoch.get()
     }
 
     /// Shared handle to the epoch counter. Reading through the handle skips
     /// the `RefCell` borrow of the VM — this sits on the per-element access
-    /// fast path of [`crate::PagedVec`], which validates its one-page cache
+    /// fast path of [`crate::PagedVec`], which validates its lookaside
     /// against the epoch on *every* load and store.
     pub fn epoch_handle(&self) -> Rc<Cell<u64>> {
         self.inner.borrow().epoch.clone()
@@ -341,6 +355,16 @@ impl Vm {
             inner.frames.total(),
             "frame accounting: used + free != total"
         );
+    }
+
+    /// `(resident, referenced)` of one page; `resident` is false while the
+    /// page is absent, swapped, being read or under writeback.
+    #[cfg(test)]
+    pub(crate) fn page_bits(&self, asid: u32, vpn: u64) -> (bool, bool) {
+        let inner = self.inner.borrow();
+        inner.table.get(&(asid, vpn)).map_or((false, false), |e| {
+            (matches!(e.state, PageState::Resident { .. }), e.referenced)
+        })
     }
 
     /// Touch page `(asid, vpn)`. On success returns the frame buffer (valid
@@ -419,7 +443,7 @@ impl Vm {
                         if let Some(slot) = slot {
                             inner.swap.free_slot(slot);
                         }
-                        inner.epoch.set(inner.epoch.get() + 1);
+                        inner.shootdown();
                     }
                     PageState::Swapped { slot } => inner.swap.free_slot(slot),
                     PageState::Reading { .. } | PageState::Writing { .. } => {
@@ -460,7 +484,7 @@ impl Vm {
             },
         );
         inner.clock.push_back(key);
-        inner.epoch.set(inner.epoch.get() + 1);
+        inner.shootdown();
         inner.stats.zero_fills += 1;
         if self.engine.lifecycle_enabled() {
             self.engine.lifecycle().note_fault(false);
@@ -610,7 +634,7 @@ impl Vm {
                     },
                 );
                 inner.clock.push_back(key);
-                inner.epoch.set(inner.epoch.get() + 1);
+                inner.shootdown();
                 signal.set();
                 self.notify_waiters(&mut inner);
             }
@@ -653,7 +677,7 @@ impl Vm {
                     );
                     inner.frames.free(frame);
                 }
-                inner.epoch.set(inner.epoch.get() + 1);
+                inner.shootdown();
                 if let Some(t) = &mut inner.throttle {
                     t.remaining = t.remaining.saturating_sub(1);
                     if t.remaining == 0 {
@@ -805,6 +829,7 @@ impl Vm {
                 if let Some(e) = inner.table.get_mut(&key) {
                     e.referenced = false;
                 }
+                inner.shootdown();
                 inner.clock.push_back(key);
                 continue;
             }
@@ -819,7 +844,7 @@ impl Vm {
                         },
                     );
                     inner.frames.free(frame);
-                    inner.epoch.set(inner.epoch.get() + 1);
+                    inner.shootdown();
                     inner.stats.clean_evictions += 1;
                     self.notify_waiters(inner);
                     progressed += 1;
@@ -847,6 +872,7 @@ impl Vm {
                             referenced: false,
                         },
                     );
+                    inner.shootdown();
                     inner.stats.swap_outs += 1;
                     let backend = inner.swap.backend(slot.dev);
                     let offset = inner.swap.offset_of(slot);
