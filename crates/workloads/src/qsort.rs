@@ -12,7 +12,7 @@
 //! cutoff, the textbook CLRS structure the paper cites.
 
 use crate::task::{Step, Task};
-use simcore::SimRng;
+use simcore::{Signal, SimRng};
 use vmsim::{AddressSpace, PagedVec};
 
 /// Ranges at or below this length use insertion sort.
@@ -27,17 +27,8 @@ enum Phase {
     Next,
     /// Load the pivot `a[hi]`.
     PivotLoad { lo: u64, hi: u64 },
-    /// Lomuto scan: `i` is the store index, `j` the scan index.
-    Scan {
-        lo: u64,
-        hi: u64,
-        pivot: i32,
-        i: u64,
-        j: u64,
-        vj: Option<i32>,
-        vi: Option<i32>,
-        wrote_i: bool,
-    },
+    /// Lomuto partition scan.
+    Scan(Scan),
     /// Swap the pivot into place at `i`, then push subranges.
     FinalSwap {
         lo: u64,
@@ -47,18 +38,157 @@ enum Phase {
         vhi: Option<i32>,
         wrote_i: bool,
     },
-    /// Insertion sort outer loop at element `i`.
-    InsOuter { lo: u64, hi: u64, i: u64 },
-    /// Insertion sort inner loop: sift `key` down to position `j`.
-    InsInner {
-        lo: u64,
-        hi: u64,
-        i: u64,
-        j: u64,
-        key: i32,
-    },
+    /// Insertion sort of a short range.
+    Insertion(Insertion),
     /// Sorting complete.
     Finished,
+}
+
+/// Lomuto scan over `lo..hi`: `i` is the store index, `j` the scan index.
+#[derive(Clone, Copy)]
+struct Scan {
+    lo: u64,
+    hi: u64,
+    pivot: i32,
+    i: u64,
+    j: u64,
+    vj: Option<i32>,
+    vi: Option<i32>,
+    wrote_i: bool,
+}
+
+impl Scan {
+    /// Run scan transitions until the budget is spent (`Ok(false)`), the
+    /// scan reaches the pivot (`Ok(true)`), or an access blocks. Each
+    /// transition makes at most one access and is preceded by the budget
+    /// check [`QsortTask::step`] makes between transitions. After an
+    /// access that check runs in place, and the transition continues
+    /// without re-testing what the access cannot have changed.
+    #[inline(always)]
+    fn run(&mut self, data: &PagedVec<i32>, budget: &mut i64) -> Result<bool, Signal> {
+        loop {
+            if *budget <= 0 {
+                return Ok(false);
+            }
+            if self.j == self.hi {
+                return Ok(true);
+            }
+            // Read a[j].
+            let vj = match self.vj {
+                Some(v) => v,
+                None => {
+                    let v = data.try_get(self.j as usize)?;
+                    self.vj = Some(v);
+                    *budget -= 1;
+                    if *budget <= 0 {
+                        return Ok(false);
+                    }
+                    v
+                }
+            };
+            if vj > self.pivot {
+                self.j += 1;
+                self.vj = None;
+                continue;
+            }
+            if self.i == self.j {
+                self.i += 1;
+                self.j += 1;
+                self.vj = None;
+                continue;
+            }
+            // Swap a[i] <-> a[j], one access per transition.
+            let vi = match self.vi {
+                Some(v) => v,
+                None => {
+                    let v = data.try_get(self.i as usize)?;
+                    self.vi = Some(v);
+                    *budget -= 1;
+                    if *budget <= 0 {
+                        return Ok(false);
+                    }
+                    v
+                }
+            };
+            if !self.wrote_i {
+                data.try_set(self.i as usize, vj)?;
+                self.wrote_i = true;
+                *budget -= 1;
+                if *budget <= 0 {
+                    return Ok(false);
+                }
+            }
+            data.try_set(self.j as usize, vi)?;
+            self.i += 1;
+            self.j += 1;
+            self.vj = None;
+            self.vi = None;
+            self.wrote_i = false;
+            *budget -= 1;
+        }
+    }
+}
+
+/// Insertion sort of `lo..=hi` at outer position `i`; `sift` is `(j, key)`
+/// while the inner loop sifts `key` down to position `j`.
+#[derive(Clone, Copy)]
+struct Insertion {
+    lo: u64,
+    hi: u64,
+    i: u64,
+    sift: Option<(u64, i32)>,
+}
+
+impl Insertion {
+    /// Run insertion-sort transitions until the budget is spent
+    /// (`Ok(false)`), the range is sorted (`Ok(true)`), or an access
+    /// blocks, under [`Scan::run`]'s budget contract. Reading the key
+    /// costs one op; each sift step (read `a[j-1]`, write `a[j]`) and the
+    /// final store cost two.
+    #[inline(always)]
+    fn run(&mut self, data: &PagedVec<i32>, budget: &mut i64) -> Result<bool, Signal> {
+        loop {
+            if *budget <= 0 {
+                return Ok(false);
+            }
+            let (mut j, key) = match self.sift {
+                Some(sift) => sift,
+                None => {
+                    if self.i > self.hi {
+                        return Ok(true);
+                    }
+                    let key = data.try_get(self.i as usize)?;
+                    self.sift = Some((self.i, key));
+                    *budget -= 1;
+                    if *budget <= 0 {
+                        return Ok(false);
+                    }
+                    (self.i, key)
+                }
+            };
+            // Sift `key` down; every shift is one transition.
+            loop {
+                if j > self.lo {
+                    let prev = data.try_get(j as usize - 1)?;
+                    if prev > key {
+                        data.try_set(j as usize, prev)?;
+                        j -= 1;
+                        self.sift = Some((j, key));
+                        *budget -= 2;
+                        if *budget <= 0 {
+                            return Ok(false);
+                        }
+                        continue;
+                    }
+                }
+                data.try_set(j as usize, key)?;
+                self.sift = None;
+                self.i += 1;
+                *budget -= 2;
+                break;
+            }
+        }
+    }
 }
 
 /// A resumable quicksort instance.
@@ -117,8 +247,13 @@ impl QsortTask {
         true
     }
 
-    /// One micro-transition. Returns ops consumed, or the blocking signal.
-    fn advance_one(&mut self) -> Result<u64, simcore::Signal> {
+    /// Advance by one micro-transition, or — in the scan and insertion
+    /// phases — by as many as the budget allows, charging their ops to
+    /// `budget`. Looping inside a phase keeps its state in locals, written
+    /// back on every exit; the transitions, their op counts and the
+    /// budget checks between them are the same as one per call, so the
+    /// points where [`Task::step`] returns or blocks do not move.
+    fn advance(&mut self, budget: &mut i64) -> Result<(), Signal> {
         let n = self.data.len() as u64;
         match &mut self.phase {
             Phase::Fill => {
@@ -129,7 +264,7 @@ impl QsortTask {
                     } else {
                         Phase::Finished
                     };
-                    return Ok(0);
+                    return Ok(());
                 }
                 let val = *self
                     .fill_val
@@ -137,26 +272,24 @@ impl QsortTask {
                 self.data.try_set(self.fill_next, val)?;
                 self.fill_next += 1;
                 self.fill_val = None;
-                Ok(1)
+                *budget -= 1;
             }
-            Phase::Next => match self.stack.pop() {
-                None => {
-                    self.phase = Phase::Finished;
-                    Ok(0)
-                }
-                Some((lo, hi)) => {
-                    self.phase = if hi - lo < INSERTION_CUTOFF {
-                        Phase::InsOuter { lo, hi, i: lo + 1 }
-                    } else {
-                        Phase::PivotLoad { lo, hi }
-                    };
-                    Ok(0)
-                }
-            },
+            Phase::Next => {
+                self.phase = match self.stack.pop() {
+                    None => Phase::Finished,
+                    Some((lo, hi)) if hi - lo < INSERTION_CUTOFF => Phase::Insertion(Insertion {
+                        lo,
+                        hi,
+                        i: lo + 1,
+                        sift: None,
+                    }),
+                    Some((lo, hi)) => Phase::PivotLoad { lo, hi },
+                };
+            }
             Phase::PivotLoad { lo, hi } => {
                 let (lo, hi) = (*lo, *hi);
                 let pivot = self.data.try_get(hi as usize)?;
-                self.phase = Phase::Scan {
+                self.phase = Phase::Scan(Scan {
                     lo,
                     hi,
                     pivot,
@@ -165,73 +298,25 @@ impl QsortTask {
                     vj: None,
                     vi: None,
                     wrote_i: false,
-                };
-                Ok(1)
+                });
+                *budget -= 1;
             }
-            Phase::Scan {
-                lo,
-                hi,
-                pivot,
-                i,
-                j,
-                vj,
-                vi,
-                wrote_i,
-            } => {
-                let (lo, hi, pivot) = (*lo, *hi, *pivot);
-                if *j == hi {
-                    let i = *i;
+            Phase::Scan(state) => {
+                let mut scan = *state;
+                let mut left = *budget;
+                let done = scan.run(&self.data, &mut left);
+                *state = scan;
+                *budget = left;
+                if done? {
                     self.phase = Phase::FinalSwap {
-                        lo,
-                        hi,
-                        i,
+                        lo: scan.lo,
+                        hi: scan.hi,
+                        i: scan.i,
                         vi: None,
                         vhi: None,
                         wrote_i: false,
                     };
-                    return Ok(0);
                 }
-                // Read a[j].
-                let cur_vj = match *vj {
-                    Some(v) => v,
-                    None => {
-                        let v = self.data.try_get(*j as usize)?;
-                        *vj = Some(v);
-                        return Ok(1);
-                    }
-                };
-                if cur_vj > pivot {
-                    *j += 1;
-                    *vj = None;
-                    return Ok(0);
-                }
-                if *i == *j {
-                    *i += 1;
-                    *j += 1;
-                    *vj = None;
-                    return Ok(0);
-                }
-                // Swap a[i] <-> a[j], one access per transition.
-                let cur_vi = match *vi {
-                    Some(v) => v,
-                    None => {
-                        let v = self.data.try_get(*i as usize)?;
-                        *vi = Some(v);
-                        return Ok(1);
-                    }
-                };
-                if !*wrote_i {
-                    self.data.try_set(*i as usize, cur_vj)?;
-                    *wrote_i = true;
-                    return Ok(1);
-                }
-                self.data.try_set(*j as usize, cur_vi)?;
-                *i += 1;
-                *j += 1;
-                *vj = None;
-                *vi = None;
-                *wrote_i = false;
-                Ok(1)
             }
             Phase::FinalSwap {
                 lo,
@@ -248,7 +333,8 @@ impl QsortTask {
                         None => {
                             let v = self.data.try_get(hi as usize)?;
                             *vhi = Some(v);
-                            return Ok(1);
+                            *budget -= 1;
+                            return Ok(());
                         }
                     };
                     let cur_vi = match *vi {
@@ -256,13 +342,15 @@ impl QsortTask {
                         None => {
                             let v = self.data.try_get(i as usize)?;
                             *vi = Some(v);
-                            return Ok(1);
+                            *budget -= 1;
+                            return Ok(());
                         }
                     };
                     if !*wrote_i {
                         self.data.try_set(i as usize, cur_vhi)?;
                         *wrote_i = true;
-                        return Ok(1);
+                        *budget -= 1;
+                        return Ok(());
                     }
                     self.data.try_set(hi as usize, cur_vi)?;
                 }
@@ -285,40 +373,21 @@ impl QsortTask {
                     (None, None) => {}
                 }
                 self.phase = Phase::Next;
-                Ok(1)
+                *budget -= 1;
             }
-            Phase::InsOuter { lo, hi, i } => {
-                let (lo, hi, i) = (*lo, *hi, *i);
-                if i > hi {
+            Phase::Insertion(state) => {
+                let mut ins = *state;
+                let mut left = *budget;
+                let done = ins.run(&self.data, &mut left);
+                *state = ins;
+                *budget = left;
+                if done? {
                     self.phase = Phase::Next;
-                    return Ok(0);
                 }
-                let key = self.data.try_get(i as usize)?;
-                self.phase = Phase::InsInner {
-                    lo,
-                    hi,
-                    i,
-                    j: i,
-                    key,
-                };
-                Ok(1)
             }
-            Phase::InsInner { lo, hi, i, j, key } => {
-                let (lo, hi, i, key) = (*lo, *hi, *i, *key);
-                if *j > lo {
-                    let prev = self.data.try_get(*j as usize - 1)?;
-                    if prev > key {
-                        self.data.try_set(*j as usize, prev)?;
-                        *j -= 1;
-                        return Ok(2);
-                    }
-                }
-                self.data.try_set(*j as usize, key)?;
-                self.phase = Phase::InsOuter { lo, hi, i: i + 1 };
-                Ok(2)
-            }
-            Phase::Finished => Ok(0),
+            Phase::Finished => {}
         }
+        Ok(())
     }
 }
 
@@ -329,9 +398,8 @@ impl Task for QsortTask {
             if matches!(self.phase, Phase::Finished) {
                 return Step::Done;
             }
-            match self.advance_one() {
-                Ok(ops) => budget -= ops as i64,
-                Err(sig) => return Step::Blocked(sig),
+            if let Err(sig) = self.advance(&mut budget) {
+                return Step::Blocked(sig);
             }
             // Zero-op transitions (stack pops) still make progress; the
             // budget only counts memory operations, matching the paper's
@@ -432,5 +500,72 @@ mod tests {
         Scheduler::new(engine.clone(), 2).run(&mut tasks);
         assert!(a.is_sorted(), "instance A sorted");
         assert!(b.is_sorted(), "instance B sorted");
+    }
+
+    /// Host-cost gate as a count: a cache regression shows up here, not
+    /// just as wall-clock noise. The pair pages constantly, so every fault
+    /// and reclaim pass empties both lookasides; what misses beyond that
+    /// are read→write upgrades and cursor ping-pong the ways must absorb.
+    #[test]
+    fn lookaside_absorbs_a_paging_pair() {
+        let (engine, vm) = vm_with_ram_swap(48, 1024);
+        let s1 = AddressSpace::new(&vm);
+        let s2 = AddressSpace::new(&vm);
+        let mut a = QsortTask::new(&s1, 64 * 1024, 1, 11, "qsort-a");
+        let mut b = QsortTask::new(&s2, 64 * 1024, 2, 11, "qsort-b");
+        let mut tasks: [&mut dyn Task; 2] = [&mut a, &mut b];
+        Scheduler::new(engine.clone(), 2).run(&mut tasks);
+        assert!(vm.stats().swap_outs > 500, "the pair must page");
+        for t in [&a, &b] {
+            let st = t.data().lookaside_stats();
+            assert!(
+                st.fills * 100 <= st.accesses,
+                "{}: {} fills over {} accesses",
+                t.name(),
+                st.fills,
+                st.accesses
+            );
+        }
+    }
+
+    /// Drive `task` to completion `budget(step)` ops at a time, running the
+    /// engine only through faults.
+    fn drive(engine: &Engine, task: &mut QsortTask, budget: impl Fn(u64) -> u64) {
+        for step in 0.. {
+            match task.step(budget(step)) {
+                Step::Ran => {}
+                Step::Blocked(sig) => engine.run_until_signal(&sig),
+                Step::Done => return,
+            }
+        }
+    }
+
+    /// Budgets of 1–8 ops make `step` return mid-swap and mid-shift, and
+    /// faults block there too: every resume point of the scan and
+    /// insertion loops must carry its state across.
+    #[test]
+    fn tiny_budgets_resume_mid_transition() {
+        for budget in 1..=8u64 {
+            let (engine, vm) = vm_with_ram_swap(16, 256);
+            let space = AddressSpace::new(&vm);
+            let n = 64 * 1024;
+            let seed = 100 + budget;
+            let mut t = QsortTask::new(&space, n, seed, 11, "qsort");
+            drive(&engine, &mut t, |_| budget);
+            assert!(vm.stats().major_faults > 0, "budget {budget}: must page");
+            let mut rng = SimRng::new(seed);
+            let mut input: Vec<i32> = (0..n).map(|_| rng.next_u32() as i32).collect();
+            input.sort_unstable();
+            let output: Vec<i32> = (0..n).map(|i| t.data().get(i)).collect();
+            assert_eq!(output, input, "budget {budget}: not a sorted permutation");
+            vm.check_invariants();
+        }
+        // Budgets that change every step.
+        let (engine, vm) = vm_with_ram_swap(16, 256);
+        let space = AddressSpace::new(&vm);
+        let mut t = QsortTask::new(&space, 8 * 1024, 99, 11, "qsort");
+        drive(&engine, &mut t, |step| 1 + step % 8);
+        assert!(t.is_sorted());
+        vm.check_invariants();
     }
 }
