@@ -45,6 +45,6 @@ pub use backend::{
 };
 pub use config::VmConfig;
 pub use frames::{FrameId, FramePool};
-pub use paged::{AddressSpace, Element, LookasideStats, PagedVec};
+pub use paged::{AddressSpace, Element, LookasideStats, PageRun, PagedVec, RunPage};
 pub use swap::{Slot, SwapManager};
 pub use vm::{Vm, VmStats};

@@ -357,14 +357,23 @@ impl Vm {
         );
     }
 
-    /// `(resident, referenced)` of one page; `resident` is false while the
-    /// page is absent, swapped, being read or under writeback.
+    /// `(resident, referenced, dirty)` of one page; `resident` is false
+    /// while the page is absent, swapped, being read or under writeback,
+    /// and `dirty` is also set for a store under writeback.
     #[cfg(test)]
-    pub(crate) fn page_bits(&self, asid: u32, vpn: u64) -> (bool, bool) {
+    pub(crate) fn page_bits(&self, asid: u32, vpn: u64) -> (bool, bool, bool) {
         let inner = self.inner.borrow();
-        inner.table.get(&(asid, vpn)).map_or((false, false), |e| {
-            (matches!(e.state, PageState::Resident { .. }), e.referenced)
-        })
+        inner
+            .table
+            .get(&(asid, vpn))
+            .map_or((false, false, false), |e| {
+                let (resident, dirty) = match e.state {
+                    PageState::Resident { dirty, .. } => (true, dirty),
+                    PageState::Writing { dirty_again, .. } => (false, dirty_again),
+                    _ => (false, false),
+                };
+                (resident, e.referenced, dirty)
+            })
     }
 
     /// Touch page `(asid, vpn)`. On success returns the frame buffer (valid
