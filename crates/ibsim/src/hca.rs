@@ -14,6 +14,7 @@
 use crate::mr::MemoryRegion;
 use netmodel::HcaParams;
 use simcore::{MetricsRegistry, Resource, SimDuration, SimTime};
+use simtrace::LazyCounter;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,8 +30,16 @@ struct HcaInner {
     connected_qps: usize,
     ctx_reloads: u64,
     ctx_hits: u64,
-    /// Shared metrics sink, installed by the fabric at node creation.
-    metrics: Option<MetricsRegistry>,
+    /// Context-cache counters in the shared metrics registry, installed by
+    /// the fabric at node creation.
+    ctrs: Option<CtxCounters>,
+}
+
+/// Lazily-resolved handles for the per-WQE context-cache counters (one
+/// registry lookup each, on first use).
+struct CtxCounters {
+    hits: LazyCounter,
+    reloads: LazyCounter,
 }
 
 /// Per-node host channel adapter.
@@ -53,7 +62,7 @@ impl Hca {
                 connected_qps: 0,
                 ctx_reloads: 0,
                 ctx_hits: 0,
-                metrics: None,
+                ctrs: None,
             })),
         }
     }
@@ -61,7 +70,10 @@ impl Hca {
     /// Install the shared metrics registry so context-cache hits/misses
     /// are recorded (done by the fabric when the node is created).
     pub fn set_metrics(&self, metrics: MetricsRegistry) {
-        self.inner.borrow_mut().metrics = Some(metrics);
+        self.inner.borrow_mut().ctrs = Some(CtxCounters {
+            hits: metrics.lazy_counter("ibsim.qp_ctx_hits"),
+            reloads: metrics.lazy_counter("ibsim.qp_ctx_reloads"),
+        });
     }
 
     /// Calibrated parameters.
@@ -128,14 +140,14 @@ impl Hca {
             };
             if hit {
                 inner.ctx_hits += 1;
-                if let Some(m) = &inner.metrics {
-                    m.inc("ibsim.qp_ctx_hits");
+                if let Some(c) = &inner.ctrs {
+                    c.hits.inc();
                 }
                 inner.params.per_wqe_ns + sched
             } else {
                 inner.ctx_reloads += 1;
-                if let Some(m) = &inner.metrics {
-                    m.inc("ibsim.qp_ctx_reloads");
+                if let Some(c) = &inner.ctrs {
+                    c.reloads.inc();
                 }
                 inner.params.per_wqe_ns + inner.params.qp_ctx_reload_ns + sched
             }
