@@ -22,11 +22,6 @@ pub struct CommonArgs {
     /// core). Results are assembled in cell order, so the output is
     /// byte-identical at any thread count; the default of 1 runs inline.
     pub threads: usize,
-    /// Worker threads *inside* one figure (`--sim-threads N`, 0 = one per
-    /// core): the figure's cells run as logical processes of one
-    /// `simcore::parallel::ParallelEngine` federation instead of the plain
-    /// sweep pool. Output is byte-identical at any value; default 1.
-    pub sim_threads: usize,
 }
 
 impl Default for CommonArgs {
@@ -38,7 +33,6 @@ impl Default for CommonArgs {
             metrics: false,
             lifecycle: false,
             threads: 1,
-            sim_threads: 1,
         }
     }
 }
@@ -79,12 +73,9 @@ impl CommonArgs {
                 "--threads" => {
                     out.threads = take("--threads") as usize;
                 }
-                "--sim-threads" => {
-                    out.sim_threads = take("--sim-threads") as usize;
-                }
                 "--help" | "-h" => {
                     eprintln!(
-                        "usage: [--scale N] [--seed N] [--trace PATH] [--metrics] [--lifecycle] [--threads N] [--sim-threads N]"
+                        "usage: [--scale N] [--seed N] [--trace PATH] [--metrics] [--lifecycle] [--threads N]"
                     );
                     eprintln!("  --scale N    divide the paper's sizes by N (default 16)");
                     eprintln!("  --seed N     workload RNG seed (default 42)");
@@ -94,9 +85,6 @@ impl CommonArgs {
                         "  --lifecycle  record per-request phase attribution (flight recorder)"
                     );
                     eprintln!("  --threads N  sweep worker threads (0 = one per core, default 1)");
-                    eprintln!(
-                        "  --sim-threads N  parallel-engine workers within one figure (0 = one per core, default 1)"
-                    );
                     std::process::exit(0);
                 }
                 other => {
@@ -108,9 +96,9 @@ impl CommonArgs {
         out
     }
 
-    /// The sweep runner selected by `--threads` / `--sim-threads`.
+    /// The sweep runner selected by `--threads`.
     pub fn runner(&self) -> crate::runner::Runner {
-        crate::runner::Runner::with_threads(self.threads).with_sim_threads(self.sim_threads)
+        crate::runner::Runner::with_threads(self.threads)
     }
 
     /// The paper's quantity divided by the scale, page-aligned.

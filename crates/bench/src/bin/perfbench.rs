@@ -7,8 +7,8 @@
 //! from `/proc/self/status` (`VmHWM`) where available.
 //!
 //! ```text
-//! perfbench [--smoke] [--scale N] [--seed N] [--threads N] [--sim-threads N]
-//!           [--out PATH] [--baseline PATH]
+//! perfbench [--smoke] [--scale N] [--seed N] [--threads N] [--out PATH]
+//!           [--baseline PATH]
 //! ```
 //!
 //! `--smoke` shrinks the workloads (scale 256) for CI; `--out` writes a
@@ -35,13 +35,12 @@
 //! `messages_per_page`: growing more than 20 % over a baseline that
 //! carries the field fails the run, covering both swap paths.
 //!
-//! The v4 report records `sim_threads` (`--sim-threads` routes each
-//! figure's cells through the conservative parallel engine; deterministic
-//! rows are identical at any value) and the baseline check is **strict**:
-//! a baseline whose schema version is not v3/v4 or whose figure set
-//! doesn't exactly match the current run fails loudly instead of silently
-//! comparing the rows that happen to line up — silently-skipped rows are
-//! how a stale baseline once hid a regression.
+//! The baseline check is **strict**: a baseline whose schema version is
+//! not v3/v4/v5 or whose figure set doesn't exactly match the current run
+//! fails loudly instead of silently comparing the rows that happen to line
+//! up — silently-skipped rows are how a stale baseline once hid a
+//! regression. The v5 report drops v4's engine-worker-count field; the
+//! figure rows are unchanged.
 
 use bench::figures::{fig10, fig5, fig9, figu};
 use bench::{CommonArgs, Runner};
@@ -99,13 +98,12 @@ fn main() {
             "--scale" => common.scale = take("--scale").parse().unwrap_or(16).max(1),
             "--seed" => common.seed = take("--seed").parse().unwrap_or(42),
             "--threads" => common.threads = take("--threads").parse().unwrap_or(1),
-            "--sim-threads" => common.sim_threads = take("--sim-threads").parse().unwrap_or(1),
             "--out" => out = Some(PathBuf::from(take("--out"))),
             "--baseline" => baseline = Some(PathBuf::from(take("--baseline"))),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: perfbench [--smoke] [--scale N] [--seed N] [--threads N] \
-                     [--sim-threads N] [--out PATH] [--baseline PATH]"
+                     [--out PATH] [--baseline PATH]"
                 );
                 std::process::exit(0);
             }
@@ -118,7 +116,7 @@ fn main() {
     if smoke {
         common.scale = common.scale.max(256);
     }
-    let runner = Runner::with_threads(common.threads).with_sim_threads(common.sim_threads);
+    let runner = common.runner();
 
     let mut results: Vec<FigureResult> = Vec::new();
     let mut measure = |name: &'static str, f: &dyn Fn() -> (u64, f64, f64)| {
@@ -321,12 +319,11 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"hpbd-perfbench-v4\",\n");
+    s.push_str("  \"schema\": \"hpbd-perfbench-v5\",\n");
     s.push_str(&format!("  \"smoke\": {smoke},\n"));
     s.push_str(&format!("  \"scale\": {},\n", common.scale));
     s.push_str(&format!("  \"seed\": {},\n", common.seed));
     s.push_str(&format!("  \"threads\": {},\n", runner.threads()));
-    s.push_str(&format!("  \"sim_threads\": {},\n", runner.sim_threads()));
     s.push_str("  \"figures\": [\n");
     for (i, r) in results.iter().enumerate() {
         s.push_str(&format!(
@@ -355,11 +352,15 @@ fn render_json(
     s
 }
 
-/// Baseline schema versions this binary knows how to compare against. A v3
-/// baseline is a strict field subset of v4 (no `sim_threads`), so both are
-/// accepted; anything else — older reports, hand-edited files — must be
-/// regenerated, not silently half-compared.
-const ACCEPTED_SCHEMAS: [&str; 2] = ["hpbd-perfbench-v3", "hpbd-perfbench-v4"];
+/// Baseline schema versions this binary knows how to compare against. The
+/// gate reads only `schema` and `figures`, whose rows v3, v4 and v5 share,
+/// so all three are accepted; anything else — older reports, hand-edited
+/// files — must be regenerated, not silently half-compared.
+const ACCEPTED_SCHEMAS: [&str; 3] = [
+    "hpbd-perfbench-v3",
+    "hpbd-perfbench-v4",
+    "hpbd-perfbench-v5",
+];
 
 /// Compare per-figure events/sec against a prior report. `Ok` carries the
 /// per-figure comparison lines; `Err` the regression messages.
@@ -626,6 +627,24 @@ mod tests {
     fn v3_baseline_is_still_accepted() {
         let results = [row("fig5", 10.0, 1000)];
         let doc = baseline_json("hpbd-perfbench-v3", &[("fig5", 100.0)]);
+        assert!(compare_to_baseline(&doc, &results).is_ok());
+    }
+
+    #[test]
+    fn a_fresh_v5_report_is_an_accepted_baseline() {
+        let results = [row("fig5", 10.0, 1000)];
+        let json = render_json(
+            &CommonArgs::default(),
+            false,
+            &Runner::sequential(),
+            &results,
+            10.0,
+            1000,
+            0,
+            "{}",
+        );
+        assert!(json.contains("\"hpbd-perfbench-v5\""), "{json}");
+        let doc = simtrace::json::parse(&json).unwrap();
         assert!(compare_to_baseline(&doc, &results).is_ok());
     }
 

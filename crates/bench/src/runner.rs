@@ -17,60 +17,26 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Thread-count policy for a sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Runner {
     threads: usize,
-    sim_threads: usize,
 }
 
 impl Runner {
     /// Run cells inline on the calling thread, in order (the default for
     /// the figure binaries — identical to the pre-runner behaviour).
     pub fn sequential() -> Runner {
-        Runner {
-            threads: 1,
-            sim_threads: 1,
-        }
+        Runner { threads: 1 }
     }
 
-    /// Use exactly `threads` workers (0 means auto).
+    /// Use exactly `threads` workers (0 means one per available core).
     pub fn with_threads(threads: usize) -> Runner {
-        Runner {
-            threads: if threads == 0 {
-                auto_threads()
-            } else {
-                threads
-            },
-            sim_threads: 1,
-        }
-    }
-
-    /// One worker per available core.
-    pub fn auto() -> Runner {
-        Runner::with_threads(auto_threads())
-    }
-
-    /// Route this runner's cells through the conservative parallel engine
-    /// (`simcore::parallel`) with `sim_threads` workers (0 means auto).
-    /// The federation claims cells exactly like the sweep pool but runs
-    /// them as logical processes of one [`ParallelEngine`]
-    /// (`simcore::parallel::ParallelEngine`) — same deterministic
-    /// cell-order reassembly, so output stays byte-identical. A value of 1
-    /// leaves the plain sweep path untouched.
-    pub fn with_sim_threads(mut self, sim_threads: usize) -> Runner {
-        self.sim_threads = if sim_threads == 0 {
-            auto_threads()
-        } else {
-            sim_threads
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        self
+        Runner { threads }
     }
 
     /// Worker count this runner will use.
@@ -78,37 +44,34 @@ impl Runner {
         self.threads
     }
 
-    /// Parallel-engine worker count (1 = sweep path).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
     /// Run `cells` independent cells through `f`, returning results in
     /// cell order. With one thread (or one cell) this is exactly
-    /// `(0..cells).map(f).collect()` — no threads are spawned, so
-    /// thread-local state (e.g. the default scheduler kind) still applies.
+    /// `(0..cells).map(f).collect()` — no threads are spawned. Workers
+    /// inherit the caller's thread-local default scheduler kind, so a cell
+    /// that builds an `Engine` behaves exactly as if run inline.
     pub fn run_cells<T, F>(&self, cells: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.sim_threads > 1 {
-            return simcore::parallel::run_cells(self.sim_threads, cells, f);
-        }
         if self.threads <= 1 || cells <= 1 {
             return (0..cells).map(f).collect();
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
+        let kind = simcore::default_scheduler();
         std::thread::scope(|scope| {
             for _ in 0..self.threads.min(cells) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells {
-                        break;
+                scope.spawn(|| {
+                    simcore::set_default_scheduler(kind);
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= cells {
+                            break;
+                        }
+                        let value = f(i);
+                        *slots[i].lock().unwrap() = Some(value);
                     }
-                    let value = f(i);
-                    *slots[i].lock().unwrap() = Some(value);
                 });
             }
         });
@@ -170,18 +133,14 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_route_matches_sequential() {
-        let f = |i: usize| (i as u64 + 1) * 7;
-        let seq = Runner::sequential().run_cells(13, f);
-        for t in [2, 4, 8] {
-            let fed = Runner::sequential().with_sim_threads(t).run_cells(13, f);
-            assert_eq!(seq, fed, "sim_threads={t}");
+    fn workers_inherit_the_callers_scheduler() {
+        use simcore::{default_scheduler, set_default_scheduler, SchedulerKind};
+        let before = default_scheduler();
+        for kind in [SchedulerKind::ReferenceHeap, SchedulerKind::TimingWheel] {
+            set_default_scheduler(kind);
+            let seen = Runner::with_threads(2).run_cells(4, |_| default_scheduler());
+            assert_eq!(seen, vec![kind; 4]);
         }
-    }
-
-    #[test]
-    fn zero_sim_threads_means_auto() {
-        assert!(Runner::sequential().with_sim_threads(0).sim_threads() >= 1);
-        assert_eq!(Runner::sequential().sim_threads(), 1);
+        set_default_scheduler(before);
     }
 }

@@ -72,17 +72,6 @@ impl TransportModel {
         SimDuration::from_nanos(self.base_latency_ns)
     }
 
-    /// Conservative-synchronization lookahead of a link using this
-    /// transport: a hard lower bound on the virtual delay of ANY message,
-    /// however small. Every latency component except propagation scales
-    /// with message size (and host-side work only adds), so the zero-byte
-    /// propagation term is the bound. Partitioned simulations use the
-    /// minimum lookahead across their cross-partition links as the barrier
-    /// window width (`simcore::parallel`).
-    pub fn lookahead(&self) -> SimDuration {
-        self.propagation()
-    }
-
     /// Host CPU work to push `len` bytes through the stack on ONE side.
     pub fn host_side_time(&self, len: u64) -> SimDuration {
         let per_seg = self.segments(len) * self.per_segment_host_ns;
@@ -220,36 +209,5 @@ mod tests {
     #[should_panic(expected = "bandwidth_factor")]
     fn degraded_validates_factor() {
         let _ = Calibration::cluster_2005().ib.degraded(0, 2.0);
-    }
-
-    #[test]
-    fn lookahead_lower_bounds_every_latency() {
-        // The lookahead must never exceed the one-way latency of any
-        // message on the link — that is the conservative-sync contract.
-        let c = Calibration::cluster_2005();
-        for t in [&c.ib, &c.ipoib, &c.gige] {
-            assert!(!t.lookahead().is_zero(), "{}: zero lookahead", t.name);
-            for len in [0u64, 1, 64, 4096, 128 * 1024] {
-                assert!(
-                    t.lookahead() <= t.one_way_latency(len),
-                    "{}: lookahead {} exceeds latency {} at {len}B",
-                    t.name,
-                    t.lookahead(),
-                    t.one_way_latency(len)
-                );
-            }
-        }
-        // Degrading a link only raises its latency floor, so the baseline
-        // lookahead stays valid (and the degraded link's own is larger).
-        let bad = c.ib.degraded(10_000, 0.5);
-        assert!(bad.lookahead() >= c.ib.lookahead());
-    }
-
-    #[test]
-    fn calibration_min_lookahead_is_ib_propagation() {
-        let c = Calibration::cluster_2005();
-        assert_eq!(c.min_lookahead(), c.ib.propagation());
-        assert!(c.min_lookahead() <= c.ipoib.lookahead());
-        assert!(c.min_lookahead() <= c.gige.lookahead());
     }
 }

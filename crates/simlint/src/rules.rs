@@ -52,7 +52,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo { id: "D001", summary: "no wall-clock time sources (std::time::{Instant,SystemTime})" },
     RuleInfo { id: "D002", summary: "no HashMap/HashSet in determinism-scoped code (iteration order feeds traces/scheduling)" },
     RuleInfo { id: "D003", summary: "no ambient randomness (thread_rng/from_entropy/OsRng) — use seeded SimRng" },
-    RuleInfo { id: "D004", summary: "no std::thread spawn/scope outside the sanctioned fan-out sites" },
+    RuleInfo { id: "D004", summary: "no std::thread spawn/scope outside the sanctioned fan-out site" },
     RuleInfo { id: "I001", summary: "no unwrap()/expect() on protocol paths — surface typed IoError/ProtoError" },
     RuleInfo { id: "I002", summary: "tracer/lifecycle emit sites must be guarded by trace_enabled()/lifecycle_enabled()" },
     RuleInfo { id: "I003", summary: "crate roots must carry #![forbid(unsafe_code)]" },
@@ -454,7 +454,7 @@ pub fn check_file(
                         && (ctx.ident_at(k + 3, "spawn") || ctx.ident_at(k + 3, "scope"))
                     {
                         let what = ctx.tok(k + 3).text.clone();
-                        push(ctx, "D004", line, format!("`thread::{what}` outside the sanctioned fan-out sites (bench::runner, simcore::parallel) — simulation code is single-threaded by contract"));
+                        push(ctx, "D004", line, format!("`thread::{what}` outside the sanctioned fan-out site (bench::runner) — simulation code is single-threaded by contract"));
                     }
                 }
                 "I001" => {
