@@ -136,7 +136,7 @@ mod tests {
     fn workers_inherit_the_callers_scheduler() {
         use simcore::{default_scheduler, set_default_scheduler, SchedulerKind};
         let before = default_scheduler();
-        for kind in [SchedulerKind::ReferenceHeap, SchedulerKind::TimingWheel] {
+        for kind in [SchedulerKind::ReferenceHeap, SchedulerKind::SlabHeap] {
             set_default_scheduler(kind);
             let seen = Runner::with_threads(2).run_cells(4, |_| default_scheduler());
             assert_eq!(seen, vec![kind; 4]);

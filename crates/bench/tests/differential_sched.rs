@@ -1,4 +1,4 @@
-//! Differential oracle: the timing-wheel scheduler must be observationally
+//! Differential oracle: the slab-heap scheduler must be observationally
 //! identical to the reference binary heap on a real figure workload — same
 //! reports, same event counts, and byte-identical trace exports (which pin
 //! the complete event execution order, since trace events are appended in
@@ -26,19 +26,19 @@ fn fig5_under(kind: SchedulerKind) -> (String, String) {
 }
 
 #[test]
-fn timing_wheel_matches_reference_heap_on_figure5() {
-    let (wheel_reports, wheel_trace) = fig5_under(SchedulerKind::TimingWheel);
+fn slab_heap_matches_reference_heap_on_figure5() {
+    let (slab_reports, slab_trace) = fig5_under(SchedulerKind::SlabHeap);
     let (heap_reports, heap_trace) = fig5_under(SchedulerKind::ReferenceHeap);
     assert_eq!(
-        wheel_reports, heap_reports,
+        slab_reports, heap_reports,
         "figure tables must not depend on the scheduler implementation"
     );
     assert_eq!(
-        wheel_trace, heap_trace,
+        slab_trace, heap_trace,
         "event execution order (pinned by the trace export) must match"
     );
     assert!(
-        wheel_trace.len() > 10_000,
+        slab_trace.len() > 10_000,
         "trace must be non-trivial for the comparison to mean anything"
     );
 }

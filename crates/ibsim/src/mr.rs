@@ -65,6 +65,12 @@ impl MemoryRegion {
         out.copy_from_slice(&buf[offset..offset + out.len()]);
     }
 
+    /// Copy `len` bytes at `offset` out into a fresh `Vec` (no zero-fill
+    /// before the copy). Panics on out-of-bounds, like [`Self::read`].
+    pub fn read_vec(&self, offset: usize, len: usize) -> Vec<u8> {
+        self.inner.buf.borrow()[offset..offset + len].to_vec()
+    }
+
     /// Copy `data` into the region at `offset`. Panics on out-of-bounds.
     pub fn write(&self, offset: usize, data: &[u8]) {
         let mut buf = self.inner.buf.borrow_mut();
@@ -147,6 +153,14 @@ mod tests {
         let mut out = [0u8; 3];
         mr.read(4, &mut out);
         assert_eq!(out, [9, 8, 7]);
+    }
+
+    #[test]
+    fn read_vec_copies_the_span() {
+        let mr = MemoryRegion::new(16, 1, 2);
+        mr.write(4, &[9, 8, 7]);
+        assert_eq!(mr.read_vec(3, 5), vec![0, 9, 8, 7, 0]);
+        assert!(mr.read_vec(16, 0).is_empty());
     }
 
     #[test]

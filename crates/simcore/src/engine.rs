@@ -5,10 +5,9 @@
 //! future virtual instants. Ties are broken by submission order, so a run is
 //! fully deterministic given the same inputs.
 //!
-//! The queue itself is a hierarchical timing wheel (see [`crate::sched`]):
-//! near-future events live in 1 ns slots found through a two-level occupancy
-//! bitmap, far-future events in an overflow heap, and event nodes come from
-//! a recycling slab. The seed `BinaryHeap` implementation is retained as a
+//! The queue itself is a slab heap (see [`crate::sched`]): a binary heap of
+//! compact `(time, seq, node)` entries over a recycling slab of event
+//! nodes. The seed `BinaryHeap` implementation is retained as a
 //! differential oracle — build with the `reference-sched` feature (or call
 //! [`set_default_scheduler`] / [`Engine::with_scheduler`]) to run on it and
 //! compare traces event for event.
@@ -25,7 +24,7 @@
 //!   what lets background page-out traffic overlap application compute, the
 //!   paper's "asynchrony of page prefetching and flushing".
 
-use crate::sched::{EventQueue, ReferenceHeap, TimingWheel};
+use crate::sched::{EventQueue, ReferenceHeap, SlabHeap};
 use crate::signal::Signal;
 use crate::time::{SimDuration, SimTime};
 use simtrace::{LifecycleHub, MetricsRegistry, Tracer};
@@ -38,8 +37,9 @@ pub use crate::sched::EventId;
 /// Which event-queue implementation an [`Engine`] runs on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// The production timing-wheel scheduler (slab nodes, overflow heap).
-    TimingWheel,
+    /// The production scheduler: a heap of `(time, seq, node)` entries
+    /// over a slab of recycled event nodes.
+    SlabHeap,
     /// The seed `BinaryHeap` scheduler, kept as a differential oracle.
     ReferenceHeap,
 }
@@ -47,7 +47,7 @@ pub enum SchedulerKind {
 #[cfg(feature = "reference-sched")]
 const BUILT_IN_DEFAULT: SchedulerKind = SchedulerKind::ReferenceHeap;
 #[cfg(not(feature = "reference-sched"))]
-const BUILT_IN_DEFAULT: SchedulerKind = SchedulerKind::TimingWheel;
+const BUILT_IN_DEFAULT: SchedulerKind = SchedulerKind::SlabHeap;
 
 thread_local! {
     static DEFAULT_SCHED: Cell<SchedulerKind> = const { Cell::new(BUILT_IN_DEFAULT) };
@@ -61,7 +61,7 @@ pub fn default_scheduler() -> SchedulerKind {
 /// Override the scheduler for engines subsequently created on this thread
 /// (including those built deep inside scenario constructors). Returns the
 /// previous default so tests can restore it. The process-wide default is the
-/// timing wheel, or the reference heap when the `reference-sched` feature is
+/// slab heap, or the reference heap when the `reference-sched` feature is
 /// enabled.
 pub fn set_default_scheduler(kind: SchedulerKind) -> SchedulerKind {
     DEFAULT_SCHED.with(|c| c.replace(kind))
@@ -103,7 +103,7 @@ impl Engine {
     /// Create a fresh engine on a specific scheduler implementation.
     pub fn with_scheduler(kind: SchedulerKind) -> Engine {
         let queue = match kind {
-            SchedulerKind::TimingWheel => EventQueue::Wheel(TimingWheel::new()),
+            SchedulerKind::SlabHeap => EventQueue::Slab(SlabHeap::new()),
             SchedulerKind::ReferenceHeap => EventQueue::Heap(ReferenceHeap::new()),
         };
         Engine {
@@ -355,7 +355,7 @@ mod tests {
     /// Run the test body on both schedulers so every engine-level invariant
     /// is checked against the oracle too.
     fn on_both(body: impl Fn(Engine)) {
-        body(Engine::with_scheduler(SchedulerKind::TimingWheel));
+        body(Engine::with_scheduler(SchedulerKind::SlabHeap));
         body(Engine::with_scheduler(SchedulerKind::ReferenceHeap));
     }
 

@@ -10,7 +10,11 @@
 //! * [`SimTime`] / [`SimDuration`] — virtual time in integer nanoseconds.
 //! * [`Engine`] — a single-threaded event queue with deterministic ordering.
 //!   Events are boxed closures; components hold a cloned [`Engine`] handle
-//!   and schedule follow-up events from inside event callbacks.
+//!   and schedule follow-up events from inside event callbacks. The queue
+//!   is a binary heap of `(time, seq, node)` entries over a slab of
+//!   recycled event nodes ([`SchedulerKind::SlabHeap`]); the seed heap
+//!   stays selectable as a differential oracle
+//!   ([`SchedulerKind::ReferenceHeap`]).
 //! * [`Resource`] — a serially-reusable timing resource (a CPU core, a DMA
 //!   engine, a wire). Reserving a duration returns the start/end times after
 //!   FIFO queueing, which is how contention and overlap are modeled.

@@ -4,15 +4,13 @@
 //! contract — events pop in strict `(time, seq)` order, where `seq` is the
 //! submission counter, so ties break by submission order:
 //!
-//! * [`TimingWheel`] — the production scheduler. A flat window of
-//!   `WHEEL_SLOTS` one-nanosecond slots starting at `base`, backed by a
-//!   two-level occupancy bitmap for O(1) earliest-slot lookup, with a
-//!   slab of reusable event nodes (no per-event heap allocation beyond the
-//!   boxed closure itself) and an overflow binary heap for events beyond
-//!   the window. When the window drains, the wheel *re-anchors* at the
-//!   overflow minimum and promotes every overflow event inside the new
-//!   window, in heap order — which is exactly `(time, seq)` order, so slot
-//!   FIFOs stay sequence-sorted.
+//! * [`SlabHeap`] — the production scheduler. Event closures live in a
+//!   slab of reusable nodes (no per-event heap allocation beyond the boxed
+//!   closure itself), ordered by a binary heap of compact
+//!   `(time, seq, node)` entries. The engine's pending depth is small
+//!   (73 events at peak on the zipf direct-path benchmark, 2,049 on the
+//!   deepest figure), so the heap and the slab stay cache-resident while
+//!   event bodies stream page data through the cache.
 //! * [`ReferenceHeap`] — the seed implementation (a plain
 //!   `BinaryHeap<Scheduled>`), kept as a differential oracle. The
 //!   `reference-sched` cargo feature flips the engine default to this
@@ -20,19 +18,16 @@
 //!
 //! ## Determinism argument
 //!
-//! With 1 ns slots, every event in a slot shares one timestamp, and slot
-//! FIFOs only ever receive events in increasing `seq` (direct pushes are
-//! sequenced by the engine's counter; promotions happen only into an empty
-//! wheel and arrive in heap-sorted `(time, seq)` order). The overflow heap
-//! orders by `(time, seq)` directly. The pop path compares the wheel head
-//! and the overflow head by `(time, seq)` and takes the smaller, so the
-//! merged stream is a stable sort by `(time, seq)` — identical, event for
+//! Every heap entry carries its event's `(time, seq)` and the heap orders by
+//! that pair alone; the slab index never takes part, so node reuse cannot
+//! reorder events. `seq` is unique per engine, so no two entries compare
+//! equal and the pop sequence is the one total order `(time, seq)` —
+//! independent of the heap's internal layout and identical, event for
 //! event, to the reference heap.
 //!
 //! Cancellation is lazy: cancelling drops the closure immediately (so
 //! captured resources release deterministically) and leaves a tombstone
-//! node that is skipped and recycled when it reaches the head of its
-//! structure.
+//! node that is skipped and recycled when its entry reaches the heap top.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -40,13 +35,6 @@ use std::collections::BinaryHeap;
 
 /// A boxed event closure.
 pub(crate) type Action = Box<dyn FnOnce()>;
-
-/// Number of 1 ns slots in the wheel window (~65.5 µs horizon).
-const WHEEL_SLOTS: usize = 1 << 16;
-/// 64-bit occupancy words covering the slots.
-const WORDS: usize = WHEEL_SLOTS / 64;
-/// Second-level summary words (one bit per occupancy word).
-const SUMMARY_WORDS: usize = WORDS / 64;
 
 const NIL: u32 = u32::MAX;
 
@@ -78,94 +66,66 @@ impl EventId {
     }
 }
 
-/// Slab node: one scheduled event. `next` links the slot FIFO.
+/// Slab node: one scheduled event's closure. `next` links the free list.
 struct Node {
-    at: u64,
-    seq: u64,
     gen: u32,
     next: u32,
     action: Option<Action>,
 }
 
-#[derive(Clone, Copy)]
-struct Slot {
-    head: u32,
-    tail: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    head: NIL,
-    tail: NIL,
-};
-
-/// Overflow entry ordered so the *earliest* `(at, seq)` pops first.
-struct OflEntry {
+/// Heap entry ordered so the *earliest* `(at, seq)` pops first.
+struct Entry {
     at: u64,
     seq: u64,
     node: u32,
 }
 
-impl PartialEq for OflEntry {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl Eq for OflEntry {}
-impl PartialOrd for OflEntry {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for OflEntry {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// Hierarchical timing wheel with slab-allocated nodes and an overflow heap.
-pub(crate) struct TimingWheel {
-    /// Absolute time (ns) of slot 0. Only moves forward, and only to values
-    /// at or below the engine clock, so `at >= base` for every push.
-    base: u64,
-    slots: Box<[Slot]>,
-    words: Box<[u64]>,
-    summary: [u64; SUMMARY_WORDS],
-    overflow: BinaryHeap<OflEntry>,
+/// Binary heap of `(time, seq, node)` entries over a slab of event nodes.
+pub(crate) struct SlabHeap {
+    heap: BinaryHeap<Entry>,
     nodes: Vec<Node>,
     free_head: u32,
     /// Live (non-cancelled) pending events.
     live: usize,
 }
 
-impl TimingWheel {
-    pub(crate) fn new() -> TimingWheel {
-        TimingWheel {
-            base: 0,
-            slots: vec![EMPTY_SLOT; WHEEL_SLOTS].into_boxed_slice(),
-            words: vec![0u64; WORDS].into_boxed_slice(),
-            summary: [0u64; SUMMARY_WORDS],
-            overflow: BinaryHeap::new(),
+impl SlabHeap {
+    pub(crate) fn new() -> SlabHeap {
+        SlabHeap {
+            heap: BinaryHeap::new(),
             nodes: Vec::new(),
             free_head: NIL,
             live: 0,
         }
     }
 
-    fn alloc_node(&mut self, at: u64, seq: u64, action: Action) -> u32 {
+    fn alloc_node(&mut self, action: Action) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let node = &mut self.nodes[idx as usize];
             self.free_head = node.next;
-            node.at = at;
-            node.seq = seq;
-            node.next = NIL;
             node.action = Some(action);
             idx
         } else {
             let idx = self.nodes.len() as u32;
             self.nodes.push(Node {
-                at,
-                seq,
                 gen: 0,
                 next: NIL,
                 action: Some(action),
@@ -184,117 +144,18 @@ impl TimingWheel {
         self.free_head = idx;
     }
 
-    fn insert_slot(&mut self, slot: usize, idx: u32) {
-        let s = &mut self.slots[slot];
-        if s.tail == NIL {
-            s.head = idx;
-            s.tail = idx;
-            self.words[slot >> 6] |= 1u64 << (slot & 63);
-            self.summary[slot >> 12] |= 1u64 << ((slot >> 6) & 63);
-        } else {
-            let tail = s.tail;
-            s.tail = idx;
-            self.nodes[tail as usize].next = idx;
-        }
-    }
-
-    /// Unlink the head of `slot`, clearing occupancy bits when it empties.
-    fn pop_slot_head(&mut self, slot: usize) -> u32 {
-        let s = &mut self.slots[slot];
-        let idx = s.head;
-        debug_assert_ne!(idx, NIL, "popping an empty slot");
-        let next = self.nodes[idx as usize].next;
-        s.head = next;
-        if next == NIL {
-            s.tail = NIL;
-            let word = slot >> 6;
-            self.words[word] &= !(1u64 << (slot & 63));
-            if self.words[word] == 0 {
-                self.summary[slot >> 12] &= !(1u64 << ((slot >> 6) & 63));
-            }
-        }
-        idx
-    }
-
-    /// Earliest occupied slot, via the two-level bitmap.
-    fn min_slot(&self) -> Option<usize> {
-        for (si, &sw) in self.summary.iter().enumerate() {
-            if sw != 0 {
-                let word = (si << 6) + sw.trailing_zeros() as usize;
-                let bits = self.words[word];
-                debug_assert_ne!(bits, 0, "summary bit set on empty word");
-                return Some((word << 6) + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    fn wheel_is_empty(&self) -> bool {
-        self.summary.iter().all(|&w| w == 0)
-    }
-
-    /// Move the window to start at `at` (callers guarantee the wheel is
-    /// empty and `at` never exceeds the engine clock's next stop), then
-    /// promote every overflow event now inside the window. Heap pops come
-    /// out in `(time, seq)` order, so slot FIFOs stay sequence-sorted.
-    fn reanchor(&mut self, at: u64) {
-        debug_assert!(self.wheel_is_empty(), "re-anchoring a non-empty wheel");
-        debug_assert!(at >= self.base, "wheel base must not move backwards");
-        self.base = at;
-        let horizon = at + WHEEL_SLOTS as u64;
-        while let Some(top) = self.overflow.peek() {
-            if top.at >= horizon {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry");
-            if self.nodes[entry.node as usize].action.is_none() {
-                self.free_node(entry.node);
-            } else {
-                self.insert_slot((entry.at - at) as usize, entry.node);
-            }
-        }
-    }
-
-    /// Drop tombstoned (cancelled) nodes sitting at the head of either
-    /// structure so peeks and pops see live events only.
-    fn prune(&mut self) {
-        while let Some(top) = self.overflow.peek() {
-            if self.nodes[top.node as usize].action.is_some() {
-                break;
-            }
-            let node = self.overflow.pop().expect("peeked entry").node;
-            self.free_node(node);
-        }
-        while let Some(slot) = self.min_slot() {
-            let idx = self.slots[slot].head;
-            if self.nodes[idx as usize].action.is_some() {
-                break;
-            }
-            self.pop_slot_head(slot);
-            self.free_node(idx);
-        }
-    }
-
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
-        let idx = self.alloc_node(at.0, seq, action);
-        let id = EventId {
+        let idx = self.alloc_node(action);
+        self.heap.push(Entry {
+            at: at.0,
+            seq,
+            node: idx,
+        });
+        self.live += 1;
+        EventId {
             idx,
             gen: self.nodes[idx as usize].gen,
-        };
-        // `at >= base` always holds (base trails the clock), so a wrapping
-        // subtraction that lands outside the window routes to overflow.
-        let offset = at.0.wrapping_sub(self.base);
-        if offset < WHEEL_SLOTS as u64 {
-            self.insert_slot(offset as usize, idx);
-        } else {
-            self.overflow.push(OflEntry {
-                at: at.0,
-                seq,
-                node: idx,
-            });
         }
-        self.live += 1;
-        id
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) -> bool {
@@ -310,69 +171,32 @@ impl TimingWheel {
         }
     }
 
-    /// Pop the earliest event if its time is `<= deadline`.
+    /// Pop the earliest event if its time is `<= deadline`, recycling any
+    /// tombstones that surface on the way. A tombstone past the deadline
+    /// stays put: every live event behind it is later still.
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
-        loop {
-            self.prune();
-            let wheel = self.min_slot().map(|slot| {
-                let idx = self.slots[slot].head;
-                let seq = self.nodes[idx as usize].seq;
-                (self.base + slot as u64, seq, slot, idx)
-            });
-            match (wheel, self.overflow.peek()) {
-                (Some((wt, wseq, slot, idx)), ofl) => {
-                    // The overflow head wins only in the rare case where the
-                    // window advanced past an old overflow event's time.
-                    if let Some(top) = ofl {
-                        if (top.at, top.seq) < (wt, wseq) {
-                            if top.at > deadline.0 {
-                                return None;
-                            }
-                            let entry = self.overflow.pop().expect("peeked entry");
-                            return Some((SimTime(entry.at), self.take_action(entry.node)));
-                        }
-                    }
-                    if wt > deadline.0 {
-                        return None;
-                    }
-                    self.pop_slot_head(slot);
-                    return Some((SimTime(wt), self.take_action(idx)));
-                }
-                (None, Some(top)) => {
-                    if top.at > deadline.0 {
-                        return None;
-                    }
-                    // Window drained: re-anchor at the overflow minimum and
-                    // retry — the promoted events now sit in the wheel.
-                    let at = top.at;
-                    self.reanchor(at);
-                }
-                (None, None) => return None,
+        while self.heap.peek()?.at <= deadline.0 {
+            let entry = self.heap.pop().expect("peeked entry");
+            let action = self.nodes[entry.node as usize].action.take();
+            self.free_node(entry.node);
+            if let Some(action) = action {
+                self.live -= 1;
+                return Some((SimTime(entry.at), action));
             }
         }
-    }
-
-    fn take_action(&mut self, idx: u32) -> Action {
-        let action = self.nodes[idx as usize]
-            .action
-            .take()
-            .expect("popping a tombstone");
-        self.free_node(idx);
-        self.live -= 1;
-        action
+        None
     }
 
     /// Timestamp of the earliest live event, pruning tombstones on the way.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        self.prune();
-        let wheel = self.min_slot().map(|slot| self.base + slot as u64);
-        let ofl = self.overflow.peek().map(|e| e.at);
-        match (wheel, ofl) {
-            (Some(w), Some(o)) => Some(SimTime(w.min(o))),
-            (Some(w), None) => Some(SimTime(w)),
-            (None, Some(o)) => Some(SimTime(o)),
-            (None, None) => None,
+        while let Some(top) = self.heap.peek() {
+            if self.nodes[top.node as usize].action.is_some() {
+                return Some(SimTime(top.at));
+            }
+            let node = self.heap.pop().expect("peeked entry").node;
+            self.free_node(node);
         }
+        None
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -385,7 +209,7 @@ impl TimingWheel {
 pub(crate) struct ReferenceHeap {
     heap: BinaryHeap<Scheduled>,
     /// Actions of still-pending events, keyed by seq. Cancel removes the
-    /// entry (dropping the closure immediately, matching the wheel); the
+    /// entry (dropping the closure immediately, matching the slab heap); the
     /// heap entry becomes a tombstone skimmed off lazily.
     actions: std::collections::BTreeMap<u64, Action>,
 }
@@ -465,42 +289,42 @@ impl ReferenceHeap {
 /// Runtime dispatch between the two schedulers. An enum (not a trait
 /// object) so the hot pop path stays monomorphic and branch-predictable.
 pub(crate) enum EventQueue {
-    Wheel(TimingWheel),
+    Slab(SlabHeap),
     Heap(ReferenceHeap),
 }
 
 impl EventQueue {
     pub(crate) fn push(&mut self, at: SimTime, seq: u64, action: Action) -> EventId {
         match self {
-            EventQueue::Wheel(w) => w.push(at, seq, action),
+            EventQueue::Slab(s) => s.push(at, seq, action),
             EventQueue::Heap(h) => h.push(at, seq, action),
         }
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) -> bool {
         match self {
-            EventQueue::Wheel(w) => w.cancel(id),
+            EventQueue::Slab(s) => s.cancel(id),
             EventQueue::Heap(h) => h.cancel(id),
         }
     }
 
     pub(crate) fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, Action)> {
         match self {
-            EventQueue::Wheel(w) => w.pop_due(deadline),
+            EventQueue::Slab(s) => s.pop_due(deadline),
             EventQueue::Heap(h) => h.pop_due(deadline),
         }
     }
 
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         match self {
-            EventQueue::Wheel(w) => w.peek_time(),
+            EventQueue::Slab(s) => s.peek_time(),
             EventQueue::Heap(h) => h.peek_time(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            EventQueue::Wheel(w) => w.len(),
+            EventQueue::Slab(s) => s.len(),
             EventQueue::Heap(h) => h.len(),
         }
     }
@@ -514,7 +338,7 @@ mod tests {
 
     const MAX: SimTime = SimTime(u64::MAX);
 
-    fn tagged(q: &mut TimingWheel, at: u64, seq: u64, log: &Rc<RefCell<Vec<u64>>>) -> EventId {
+    fn tagged(q: &mut SlabHeap, at: u64, seq: u64, log: &Rc<RefCell<Vec<u64>>>) -> EventId {
         let log = log.clone();
         q.push(
             SimTime(at),
@@ -525,7 +349,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_then_seq_order() {
-        let mut q = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         tagged(&mut q, 50, 0, &log);
         tagged(&mut q, 10, 1, &log);
@@ -538,10 +362,10 @@ mod tests {
     }
 
     #[test]
-    fn far_events_overflow_and_promote() {
-        let mut q = TimingWheel::new();
+    fn far_events_pop_in_time_order() {
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
-        // Far beyond the 65.5 µs window: must route via the overflow heap.
+        // Milliseconds apart, pushed latest first.
         tagged(&mut q, 10_000_000, 0, &log);
         tagged(&mut q, 9_000_000, 1, &log);
         tagged(&mut q, 100, 2, &log);
@@ -560,7 +384,7 @@ mod tests {
 
     #[test]
     fn deadline_is_inclusive() {
-        let mut q = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         tagged(&mut q, 10, 0, &log);
         tagged(&mut q, 11, 1, &log);
@@ -574,7 +398,7 @@ mod tests {
 
     #[test]
     fn cancel_skips_event_and_invalidates_id() {
-        let mut q = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         let a = tagged(&mut q, 10, 0, &log);
         tagged(&mut q, 20, 1, &log);
@@ -590,8 +414,8 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_overflow_event_is_skipped() {
-        let mut q = TimingWheel::new();
+    fn cancelled_far_event_is_skipped() {
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         let far = tagged(&mut q, 1_000_000, 0, &log);
         tagged(&mut q, 2_000_000, 1, &log);
@@ -604,7 +428,7 @@ mod tests {
 
     #[test]
     fn slab_nodes_are_recycled() {
-        let mut q = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         for round in 0..10u64 {
             for i in 0..100u64 {
@@ -622,7 +446,7 @@ mod tests {
 
     #[test]
     fn stale_id_after_recycle_does_not_cancel() {
-        let mut q = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let log: Rc<RefCell<Vec<u64>>> = Rc::default();
         let id = tagged(&mut q, 5, 0, &log);
         let (_, a) = q.pop_due(MAX).unwrap();
@@ -635,35 +459,35 @@ mod tests {
 
     #[test]
     fn reference_heap_matches_on_interleaved_ops() {
-        let mut w = TimingWheel::new();
+        let mut q = SlabHeap::new();
         let mut h = ReferenceHeap::new();
-        let wlog: Rc<RefCell<Vec<u64>>> = Rc::default();
+        let qlog: Rc<RefCell<Vec<u64>>> = Rc::default();
         let hlog: Rc<RefCell<Vec<u64>>> = Rc::default();
         let times = [70_000u64, 3, 70_000, 500, 3, 1_000_000, 0, 65_535, 65_536];
-        let mut wids = Vec::new();
+        let mut qids = Vec::new();
         let mut hids = Vec::new();
         for (seq, &t) in times.iter().enumerate() {
-            wids.push(tagged(&mut w, t, seq as u64, &wlog));
+            qids.push(tagged(&mut q, t, seq as u64, &qlog));
             let hlog2 = hlog.clone();
             let s = seq as u64;
             hids.push(h.push(SimTime(t), s, Box::new(move || hlog2.borrow_mut().push(s))));
         }
-        assert!(w.cancel(wids[2]));
+        assert!(q.cancel(qids[2]));
         assert!(h.cancel(hids[2]));
         loop {
-            let wt = w.peek_time();
+            let qt = q.peek_time();
             let ht = h.peek_time();
-            assert_eq!(wt, ht);
-            match (w.pop_due(MAX), h.pop_due(MAX)) {
-                (Some((wa, wf)), Some((ha, hf))) => {
-                    assert_eq!(wa, ha);
-                    wf();
+            assert_eq!(qt, ht);
+            match (q.pop_due(MAX), h.pop_due(MAX)) {
+                (Some((qa, qf)), Some((ha, hf))) => {
+                    assert_eq!(qa, ha);
+                    qf();
                     hf();
                 }
                 (None, None) => break,
                 other => panic!("divergence: {:?}", other.0.is_some()),
             }
         }
-        assert_eq!(*wlog.borrow(), *hlog.borrow());
+        assert_eq!(*qlog.borrow(), *hlog.borrow());
     }
 }

@@ -8,7 +8,7 @@
 //! children spawned *during* execution at the parent's own timestamp.
 //!
 //! Both scheduler implementations are checked, so the test is
-//! simultaneously a wheel-vs-model and heap-vs-model oracle.
+//! simultaneously a slab-heap-vs-model and reference-heap-vs-model oracle.
 
 use simcore::{Engine, EventId, SchedulerKind, SimDuration, SimRng};
 use std::cell::RefCell;
@@ -89,6 +89,8 @@ enum Op {
     Schedule { id: u64, delay: u64 },
     /// Cancel the `nth` tracked cancellable event (if any remain).
     Cancel { nth: usize },
+    /// Cancel event `id` if it is still tracked (a disarmed timer).
+    CancelId { id: u64 },
     /// Advance the clock by `span` ns, running everything due.
     Advance { span: u64 },
 }
@@ -104,7 +106,7 @@ fn random_script(seed: u64, len: usize) -> Vec<Op> {
                 Op::Schedule {
                     id,
                     // Skewed toward small delays (and often zero) so many
-                    // events collide on the same tick and wheel slot.
+                    // events collide on the same tick.
                     delay: match rng.below(4) {
                         0 => 0,
                         1 => rng.below(8),
@@ -121,6 +123,53 @@ fn random_script(seed: u64, len: usize) -> Vec<Op> {
             },
         })
         .collect()
+}
+
+/// A timer-shaped script: short-delay message traffic interleaved with
+/// far-future timers (0.1–1 s, like request timeouts), most of which are
+/// disarmed a few operations after they are armed. Occasional clock jumps
+/// of up to 2 s let the surviving timers fire and the disarmed ones
+/// surface as tombstones long after they were cancelled.
+fn timer_script(seed: u64, len: usize) -> Vec<Op> {
+    let mut rng = SimRng::new(seed);
+    let mut next_id = 1u64;
+    // (script index at which to disarm, timer id)
+    let mut disarm: Vec<(usize, u64)> = Vec::new();
+    let mut script = Vec::with_capacity(len);
+    while script.len() < len {
+        if let Some(pos) = disarm.iter().position(|&(at, _)| at <= script.len()) {
+            let (_, id) = disarm.remove(pos);
+            script.push(Op::CancelId { id });
+            continue;
+        }
+        let id = next_id;
+        script.push(match rng.below(20) {
+            0..=8 => {
+                next_id += 1;
+                Op::Schedule {
+                    id,
+                    delay: rng.below(5_000),
+                }
+            }
+            9..=13 => {
+                next_id += 1;
+                if rng.below(10) < 8 {
+                    disarm.push((script.len() + 1 + rng.below(16) as usize, id));
+                }
+                Op::Schedule {
+                    id,
+                    delay: 100_000_000 + rng.below(900_000_000),
+                }
+            }
+            14..=18 => Op::Advance {
+                span: rng.below(10_000),
+            },
+            _ => Op::Advance {
+                span: rng.below(2_000_000_000),
+            },
+        });
+    }
+    script
 }
 
 /// Run the script against a real engine; returns the `(id, clock)` log.
@@ -157,6 +206,11 @@ fn run_engine(kind: SchedulerKind, script: &[Op]) -> Vec<(u64, u64)> {
                     engine.cancel(handle);
                 }
             }
+            Op::CancelId { id } => {
+                if let Some(i) = cancellable.iter().position(|(c, _)| c == id) {
+                    engine.cancel(cancellable.remove(i).1);
+                }
+            }
             Op::Advance { span } => engine.advance(SimDuration::from_nanos(*span)),
         }
     }
@@ -181,6 +235,11 @@ fn run_model(script: &[Op]) -> Vec<(u64, u64)> {
                     model.cancel(id);
                 }
             }
+            Op::CancelId { id } => {
+                if let Some(i) = cancellable.iter().position(|c| c == id) {
+                    model.cancel(cancellable.remove(i));
+                }
+            }
             Op::Advance { span } => model.advance(*span, &mut log),
         }
     }
@@ -194,10 +253,9 @@ fn run_model(script: &[Op]) -> Vec<(u64, u64)> {
 /// event is a no-op, while the model drops fired events from `pending`
 /// naturally. Both sides pick "the nth tracked entry", and entries are
 /// pushed in identical order, so the choices line up.
-fn check(kind: SchedulerKind, seed: u64) {
-    let script = random_script(seed, 4_000);
-    let expect = run_model(&script);
-    let got = run_engine(kind, &script);
+fn check(kind: SchedulerKind, seed: u64, script: &[Op]) {
+    let expect = run_model(script);
+    let got = run_engine(kind, script);
     assert_eq!(
         got.len(),
         expect.len(),
@@ -212,25 +270,50 @@ fn check(kind: SchedulerKind, seed: u64) {
 }
 
 #[test]
-fn wheel_matches_sorted_vec_model() {
+fn slab_heap_matches_sorted_vec_model() {
     for seed in [1, 2, 3, 0xDEAD_BEEF] {
-        check(SchedulerKind::TimingWheel, seed);
+        check(SchedulerKind::SlabHeap, seed, &random_script(seed, 4_000));
     }
 }
 
 #[test]
 fn reference_heap_matches_sorted_vec_model() {
     for seed in [1, 2, 3, 0xDEAD_BEEF] {
-        check(SchedulerKind::ReferenceHeap, seed);
+        check(
+            SchedulerKind::ReferenceHeap,
+            seed,
+            &random_script(seed, 4_000),
+        );
     }
 }
 
 #[test]
-fn wheel_and_heap_agree_on_long_mixed_scripts() {
+fn slab_and_reference_heap_agree_on_long_mixed_scripts() {
     for seed in [11, 12] {
         let script = random_script(seed, 8_000);
-        let wheel = run_engine(SchedulerKind::TimingWheel, &script);
+        let slab = run_engine(SchedulerKind::SlabHeap, &script);
         let heap = run_engine(SchedulerKind::ReferenceHeap, &script);
-        assert_eq!(wheel, heap, "seed {seed}");
+        assert_eq!(slab, heap, "seed {seed}");
+    }
+}
+
+#[test]
+fn far_timers_with_deep_tombstones_match_sorted_vec_model() {
+    for seed in [21, 22, 23] {
+        let script = timer_script(seed, 4_000);
+        let armed = script
+            .iter()
+            .filter(|op| matches!(op, Op::Schedule { delay, .. } if *delay >= 100_000_000))
+            .count();
+        let disarmed = script
+            .iter()
+            .filter(|op| matches!(op, Op::CancelId { .. }))
+            .count();
+        assert!(
+            armed > 500 && disarmed * 2 > armed,
+            "{armed} timers, {disarmed} disarms"
+        );
+        check(SchedulerKind::SlabHeap, seed, &script);
+        check(SchedulerKind::ReferenceHeap, seed, &script);
     }
 }
